@@ -69,8 +69,8 @@ struct StageCost {
 /// remote rows each carry a request overhead — and, in the per-row model,
 /// a full message latency as well.
 void charge_uncoalesced(const dkv::SimRdmaDkv& store,
-                        const sim::NetworkModel& net,
-                        const sim::ComputeModel& node, unsigned shard,
+                        const comm::NetworkModel& net,
+                        const comm::ComputeModel& node, unsigned shard,
                         std::span<const std::uint64_t> keys,
                         StageCost& cost) {
   std::uint64_t local = 0;
@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const sim::NetworkModel net;
-  const sim::ComputeModel node = sim::das5_node();
+  const comm::NetworkModel net;
+  const comm::ComputeModel node = comm::das5_node();
 
   rng::Xoshiro256 gen_rng(2016);
   const graph::DatasetSpec& spec = graph::dataset_by_name("com-Friendster");

@@ -40,15 +40,15 @@ int main(int argc, char** argv) {
                  "das5_16c_ms"});
     for (std::uint32_t k : {2048u, 4096u, 8192u, 16384u, 32768u}) {
       const double cloud40 =
-          core::vertical_iteration_cost(sim::hpc_cloud_node(40), w, k,
+          core::vertical_iteration_cost(comm::hpc_cloud_node(40), w, k,
                                         kNeighbors)
               .total();
       const double cloud16 =
-          core::vertical_iteration_cost(sim::hpc_cloud_node(16), w, k,
+          core::vertical_iteration_cost(comm::hpc_cloud_node(16), w, k,
                                         kNeighbors)
               .total();
       const double das5 =
-          core::vertical_iteration_cost(sim::das5_node(16), w, k,
+          core::vertical_iteration_cost(comm::das5_node(16), w, k,
                                         kNeighbors)
               .total();
       fig4a.add_row({std::int64_t(k), cloud40 * 1e3, cloud16 * 1e3,
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
           bench::run_cost_only(64, k, w, /*measured=*/16, 16)
               .avg_iteration_seconds;
       const double vertical =
-          core::vertical_iteration_cost(sim::hpc_cloud_node(40), w, k,
+          core::vertical_iteration_cost(comm::hpc_cloud_node(40), w, k,
                                         kNeighbors)
               .total();
       fig4b.add_row({std::int64_t(k), distributed * 1e3, vertical * 1e3,

@@ -1,7 +1,7 @@
 // Micro-benchmarks of the algorithm's hot kernels (google-benchmark):
 // pair likelihood, phi gradients, theta ratios, the SGRLD row update,
 // neighbor sampling and minibatch drawing. These are the units whose
-// cycle counts calibrate sim::ComputeModel.
+// cycle counts calibrate comm::ComputeModel.
 //
 // The headline BM_PairLikelihood / BM_PhiGradient / BM_ThetaRatio /
 // BM_UpdatePhiRow series go through the fast_* dispatch — i.e. they

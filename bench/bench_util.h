@@ -38,8 +38,8 @@ inline core::PhantomWorkload friendster_workload(
 inline sim::SimCluster::Config das5_cluster(unsigned workers) {
   sim::SimCluster::Config config;
   config.num_ranks = workers + 1;
-  config.network = sim::NetworkModel{};
-  config.compute = sim::das5_node();
+  config.network = comm::NetworkModel{};
+  config.compute = comm::das5_node();
   return config;
 }
 

@@ -1,10 +1,10 @@
 // Backend-neutral transport seam.
 //
-// The distributed sampler's four loops (legacy/FT master/worker) are
-// written against this interface: MPI-style tagged point-to-point
-// messages plus the three collectives the algorithm needs (barrier,
-// reduce-sum, broadcast) and the failure-aware receive the FT master's
-// heartbeat machinery is built on. Two implementations exist:
+// The distributed sampler's master and worker loops are written against
+// this interface: MPI-style tagged point-to-point messages plus the three
+// collectives the algorithm needs (barrier, reduce-sum, broadcast) and
+// the failure-aware receive the fault-tolerant heartbeat rounds are
+// built on. Two implementations exist:
 //
 //  * sim::SimTransport — threads in one address space, virtual-time cost
 //    accounting per the NetworkModel (src/sim/transport.h);

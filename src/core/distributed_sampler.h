@@ -23,6 +23,14 @@
 //   <------------- broadcast(beta) --------------------------->
 //   [every eval_interval] perplexity over the E_h slices, reduced.
 //
+// The loop pair is written once and synchronises through one of two
+// policies. Without a fault plan, the exchanges drawn above are
+// collectives over a static membership (and the master deploys one
+// iteration ahead). With a fault plan, each becomes a master-coordinated
+// heartbeat round, so a dead worker is detected, its shard re-homed, and
+// the iteration redone (or rolled back) over the survivors — see
+// "Fault-tolerant protocol" in DESIGN.md.
+//
 // Execution modes:
 //   * Real — full inference on an actual graph; numerically equivalent to
 //     SequentialSampler for any worker count (same derive_rng streams).
@@ -36,12 +44,12 @@
 #include <optional>
 #include <vector>
 
+#include "comm/cluster.h"
+#include "comm/context.h"
 #include "core/grads.h"
 #include "core/options.h"
 #include "core/perplexity.h"
 #include "core/state.h"
-#include "comm/cluster.h"
-#include "comm/context.h"
 #include "dkv/sharded_dkv.h"
 #include "graph/graph.h"
 #include "graph/heldout.h"
@@ -85,13 +93,13 @@ struct DistributedOptions {
   /// Called by the master rank at the top of every iteration (tests and
   /// progress reporting; leave empty for none).
   std::function<void(std::uint64_t)> master_iteration_hook;
-  /// Fault-tolerant mode: when non-null (even an *empty* plan) the run
-  /// uses the master-coordinated FT protocol — per-stage heartbeats with
-  /// dead-worker detection, minibatch reassignment over the surviving
-  /// ranks, and DKV shard re-homing — driven by this plan's injected
-  /// faults. Null keeps the legacy collectives path, bit-identical in
-  /// both numbers and virtual time to builds without the fault
-  /// subsystem. Real mode only; the plan must outlive run().
+  /// Fault-tolerant mode: when non-null (even an *empty* plan) the loops
+  /// synchronise through heartbeat rounds instead of collectives —
+  /// per-stage heartbeats with dead-worker detection, minibatch
+  /// reassignment over the surviving ranks, and DKV shard re-homing —
+  /// driven by this plan's injected faults. An empty plan reproduces the
+  /// collectives run's numbers exactly. Null keeps the collectives.
+  /// Real mode only; the plan must outlive run().
   const fault::FaultPlan* fault_plan = nullptr;
   /// FT mode: every this many iterations the master serializes a
   /// core/checkpoint snapshot of pi + theta, and a worker death rolls
@@ -191,14 +199,15 @@ class DistributedSampler {
   unsigned num_workers() const { return num_workers_; }
 
  private:
+  // The one master/worker loop pair, instantiated over a synchronisation
+  // policy (defined in the .cpp): Collectives for static membership,
+  // Heartbeats when a fault plan is set.
+  class Collectives;
+  class Heartbeats;
+  template <class Sync>
   void master_loop(comm::Context& ctx, std::uint64_t iterations);
+  template <class Sync>
   void worker_loop(comm::Context& ctx, std::uint64_t iterations);
-  /// Fault-tolerant twins, active when options_.fault_plan is set:
-  /// collectives are replaced by master-coordinated heartbeat rounds so
-  /// membership can shrink mid-run. See "Fault model & recovery" in
-  /// DESIGN.md.
-  void ft_master_loop(comm::Context& ctx, std::uint64_t iterations);
-  void ft_worker_loop(comm::Context& ctx);
   bool real() const { return graph_ != nullptr; }
   bool eval_due(std::uint64_t t) const {
     const std::uint64_t every = options_.base.eval_interval;

@@ -20,7 +20,7 @@
 namespace scd::core {
 
 /// Master-side buffers: minibatch draw target + scratch, one reusable
-/// DeployShare per worker, and the collective payloads.
+/// DeployShare per worker, and the exchanged payloads.
 struct MasterWorkspace {
   graph::Minibatch mb;
   graph::MinibatchScratch mb_scratch;
@@ -28,12 +28,14 @@ struct MasterWorkspace {
   std::vector<double> ratios;       // [link | nonlink], 2k
   std::vector<double> grad;         // theta gradient, 2k
   std::vector<double> eval_acc;     // [sum log avg, pair count]
+  std::vector<float> beta;          // k, shipped after every theta step
 
   MasterWorkspace(std::uint32_t k, unsigned workers)
       : shares(workers),
         ratios(std::size_t{k} * 2, 0.0),
         grad(std::size_t{k} * 2, 0.0),
-        eval_acc(2, 0.0) {}
+        eval_acc(2, 0.0),
+        beta(k, 0.0f) {}
 
   /// Real mode: pre-size the minibatch buffers and every worker share to
   /// its slice bound so the deploy path never reallocates.
@@ -58,7 +60,8 @@ struct MasterWorkspace {
 
 /// Worker-side buffers for one rank's stages: deploy share, neighbor
 /// sets, staged [pi | phi_sum] rows, DKV key/row buffers with the dedup
-/// index, and the kernel scratch.
+/// index, the kernel scratch, and the current beta with its likelihood
+/// terms.
 struct WorkerWorkspace {
   DeployShare share;
   std::vector<graph::NeighborSet> neighbor_sets;
@@ -72,9 +75,14 @@ struct WorkerWorkspace {
   PhiScratch scratch;
   std::vector<double> ratios;    // [link | nonlink], 2k
   std::vector<double> eval_acc;  // [sum log avg, pair count]
+  std::vector<float> beta;       // k, as last received from the master
+  LikelihoodTerms terms;         // derived from beta
 
   explicit WorkerWorkspace(std::uint32_t k)
-      : scratch(k), ratios(std::size_t{k} * 2, 0.0), eval_acc(2, 0.0) {}
+      : scratch(k),
+        ratios(std::size_t{k} * 2, 0.0),
+        eval_acc(2, 0.0),
+        beta(k, 0.0f) {}
 
   /// Real mode: pre-size for this worker's slice bounds. `set_bound` is
   /// the largest neighbor set a vertex can draw (max_degree + n for

@@ -3,7 +3,7 @@
 namespace scd::core {
 
 VerticalIterationCost vertical_iteration_cost(
-    const sim::ComputeModel& node, const PhantomWorkload& workload,
+    const comm::ComputeModel& node, const PhantomWorkload& workload,
     std::uint32_t num_communities, std::uint32_t num_neighbors) {
   VerticalIterationCost cost;
   const double m = workload.minibatch_vertices;

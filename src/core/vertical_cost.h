@@ -3,16 +3,16 @@
 // state lives in local RAM and the only parallelism is the node's cores.
 //
 // Uses the same kernel constants as the distributed simulator
-// (sim::ComputeModel), so Fig. 4's horizontal-vs-vertical comparison pits
+// (comm::ComputeModel), so Fig. 4's horizontal-vs-vertical comparison pits
 // two instances of one cost model against each other: the distributed
 // side pays network latency/bandwidth for pi, the vertical side pays
 // local memory bandwidth, and the distributed side brings C*16 cores to
 // the kernels against the vertical side's 16..40.
 #pragma once
 
+#include "comm/compute_model.h"
 #include "core/distributed_sampler.h"
 #include "core/hyper.h"
-#include "sim/compute_model.h"
 
 namespace scd::core {
 
@@ -35,7 +35,7 @@ struct VerticalIterationCost {
 /// workload sizes in `workload` with `num_communities` communities and
 /// `num_neighbors` samples per minibatch vertex.
 VerticalIterationCost vertical_iteration_cost(
-    const sim::ComputeModel& node, const PhantomWorkload& workload,
+    const comm::ComputeModel& node, const PhantomWorkload& workload,
     std::uint32_t num_communities, std::uint32_t num_neighbors);
 
 }  // namespace scd::core

@@ -7,7 +7,7 @@
 namespace scd::dkv {
 
 CachedDkv::CachedDkv(DkvStore& inner, std::uint64_t capacity_rows,
-                     const sim::ComputeModel& node)
+                     const comm::ComputeModel& node)
     : inner_(inner), capacity_(capacity_rows), node_(node) {
   SCD_REQUIRE(capacity_rows >= 1, "cache needs capacity >= 1 row");
 }

@@ -29,8 +29,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "comm/compute_model.h"
 #include "dkv/dkv.h"
-#include "sim/compute_model.h"
 #include "trace/recorder.h"
 
 namespace scd::dkv {
@@ -40,7 +40,7 @@ class CachedDkv final : public DkvStore {
   /// Wraps `inner` (not owned) with an LRU cache of `capacity_rows`.
   /// `node` prices the local copy a hit costs.
   CachedDkv(DkvStore& inner, std::uint64_t capacity_rows,
-            const sim::ComputeModel& node = sim::ComputeModel{});
+            const comm::ComputeModel& node = comm::ComputeModel{});
 
   std::uint64_t num_rows() const override { return inner_.num_rows(); }
   std::uint32_t row_width() const override { return inner_.row_width(); }
@@ -143,7 +143,7 @@ class CachedDkv final : public DkvStore {
 
   DkvStore& inner_;
   std::uint64_t capacity_;
-  sim::ComputeModel node_;
+  comm::ComputeModel node_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> map_;
   std::uint64_t hits_ = 0;

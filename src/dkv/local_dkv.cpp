@@ -8,7 +8,7 @@
 namespace scd::dkv {
 
 LocalDkv::LocalDkv(std::uint64_t num_rows, std::uint32_t row_width,
-                   const sim::ComputeModel& node, quant::RowCodec codec,
+                   const comm::ComputeModel& node, quant::RowCodec codec,
                    float sparse_eps)
     : num_rows_(num_rows),
       row_width_(row_width),

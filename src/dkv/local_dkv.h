@@ -13,15 +13,15 @@
 #include <atomic>
 #include <vector>
 
+#include "comm/compute_model.h"
 #include "dkv/dkv.h"
-#include "sim/compute_model.h"
 
 namespace scd::dkv {
 
 class LocalDkv final : public DkvStore {
  public:
   LocalDkv(std::uint64_t num_rows, std::uint32_t row_width,
-           const sim::ComputeModel& node,
+           const comm::ComputeModel& node,
            quant::RowCodec codec = quant::RowCodec::kFloat32,
            float sparse_eps = quant::kDefaultSparseEps);
 
@@ -82,7 +82,7 @@ class LocalDkv final : public DkvStore {
 
   std::uint64_t num_rows_;
   std::uint32_t row_width_;
-  sim::ComputeModel node_;
+  comm::ComputeModel node_;
   quant::RowCodec codec_;
   std::size_t value_bytes_;
   float sparse_eps_;

@@ -12,8 +12,8 @@
 // Plans are built programmatically or parsed from a small JSON file
 // (see from_json for the schema); the CLI's --fault-plan flag feeds the
 // latter. An empty plan is valid and injects nothing — it is how the
-// fault-tolerant protocol itself is benchmarked against the legacy
-// collectives path.
+// fault-tolerant heartbeat rounds are benchmarked against the
+// collectives.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,8 @@
 #include "proc/framing.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include <poll.h>
@@ -32,12 +34,21 @@ bool write_full(int fd, const void* data, std::size_t len) {
 }
 
 IoStatus read_full(int fd, void* data, std::size_t len, double timeout_s) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(
+                             std::clamp(timeout_s, 0.0, 1e9)));
   char* p = static_cast<char*>(data);
   std::size_t got = 0;
   while (got < len) {
     struct pollfd pfd{fd, POLLIN, 0};
-    const int timeout_ms =
-        timeout_s <= 0.0 ? 0 : static_cast<int>(timeout_s * 1e3) + 1;
+    // Round the remaining time up so poll never returns just short of
+    // the deadline; a spent deadline polls once without waiting.
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    const int timeout_ms = static_cast<int>(
+        std::clamp<std::int64_t>(left.count(), 0, 1 << 30));
     const int pr = ::poll(&pfd, 1, timeout_ms);
     if (pr < 0) {
       if (errno == EINTR) continue;
@@ -89,6 +100,49 @@ void read_full_or_throw(int fd, void* data, std::size_t len, double timeout_s,
     case IoStatus::kTimeout:
       throw comm::TransportError(what + ": timed out");
   }
+}
+
+std::size_t checked_count(std::uint64_t count, std::size_t item_bytes,
+                          std::uint64_t limit, const std::string& what) {
+  if (item_bytes > 0 && count > limit / item_bytes) {
+    throw comm::TransportError(what + ": announced length of " +
+                               std::to_string(count) + " x " +
+                               std::to_string(item_bytes) +
+                               " bytes exceeds the " + std::to_string(limit) +
+                               "-byte cap");
+  }
+  return static_cast<std::size_t>(count);
+}
+
+IoStatus read_frame_header(int fd, FrameHeader& header, double timeout_s) {
+  const IoStatus st = read_full(fd, &header, sizeof(header), timeout_s);
+  if (st != IoStatus::kOk) return st;
+  if (header.magic != kFrameMagic) {
+    throw comm::TransportError("corrupt frame header");
+  }
+  checked_count(header.payload_bytes, 1, kMaxFrameBytes, "frame payload");
+  return IoStatus::kOk;
+}
+
+bool write_status(int fd, StatusBlob blob, const std::string& msg) {
+  blob.msg_len = static_cast<std::uint32_t>(
+      std::min<std::size_t>(msg.size(), kMaxStatusMessageBytes));
+  return write_full(fd, &blob, sizeof(blob)) &&
+         (blob.msg_len == 0 || write_full(fd, msg.data(), blob.msg_len));
+}
+
+IoStatus read_status(int fd, double timeout_s, StatusBlob& blob,
+                     std::string& msg) {
+  const IoStatus st = read_full(fd, &blob, sizeof(blob), timeout_s);
+  if (st != IoStatus::kOk || blob.magic != kStatusMagic) return st;
+  msg.assign(checked_count(blob.msg_len, 1, kMaxStatusMessageBytes,
+                           "worker status message"),
+             '\0');
+  if (!msg.empty()) {
+    read_full_or_throw(fd, msg.data(), msg.size(), timeout_s,
+                       "worker status message");
+  }
+  return IoStatus::kOk;
 }
 
 }  // namespace scd::proc

@@ -17,18 +17,6 @@ namespace scd::proc {
 
 namespace {
 
-constexpr std::uint32_t kStatusMagic = 0x53434453;  // "SCDS"
-
-/// Fixed part of the child's end-of-run report; a message of msg_len
-/// bytes follows.
-struct StatusBlob {
-  std::uint32_t magic = kStatusMagic;
-  std::uint32_t err = 0;
-  double final_now = 0.0;
-  double phases[comm::kNumPhases] = {};
-  std::uint32_t msg_len = 0;
-};
-
 void close_quiet(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -126,7 +114,6 @@ StatusBlob run_rank(const std::function<void(comm::Context&)>& fn,
   for (std::size_t i = 0; i < comm::kNumPhases; ++i) {
     blob.phases[i] = ctx.stats().get(static_cast<comm::Phase>(i));
   }
-  blob.msg_len = static_cast<std::uint32_t>(msg.size());
   if (stats_out != nullptr) *stats_out = ctx.stats();
   return blob;
 }
@@ -231,9 +218,7 @@ void ProcCluster::run(const std::function<void(comm::Context&)>& fn) {
       if (store_ != nullptr) store_->attach(r);
       std::string msg;
       const StatusBlob blob = run_rank(fn, *this, r, msg, nullptr);
-      if (write_full(status_w[r], &blob, sizeof(blob)) && !msg.empty()) {
-        write_full(status_w[r], msg.data(), msg.size());
-      }
+      write_status(status_w[r], blob, msg);
       close_quiet(status_w[r]);
       // Keep the shard server answering until the master shuts it down
       // (it still serves the final pull and any re-homed reads).
@@ -267,8 +252,9 @@ void ProcCluster::run(const std::function<void(comm::Context&)>& fn) {
     std::string first_failure;
     for (unsigned r = 1; r < n; ++r) {
       StatusBlob blob;
-      const IoStatus st = read_full(status_r[r], &blob, sizeof(blob),
-                                    config_.recv_timeout_s);
+      std::string msg;
+      const IoStatus st =
+          read_status(status_r[r], config_.recv_timeout_s, blob, msg);
       if (st != IoStatus::kOk || blob.magic != kStatusMagic) {
         if (first_failure.empty()) {
           first_failure =
@@ -276,11 +262,6 @@ void ProcCluster::run(const std::function<void(comm::Context&)>& fn) {
         }
         ::kill(pids_[r], SIGKILL);
         continue;
-      }
-      std::string msg(blob.msg_len, '\0');
-      if (blob.msg_len > 0) {
-        read_full_or_throw(status_r[r], msg.data(), msg.size(),
-                           config_.recv_timeout_s, "worker status message");
       }
       final_now[r] = blob.final_now;
       for (std::size_t i = 0; i < comm::kNumPhases; ++i) {

@@ -10,22 +10,11 @@
 #include "comm/transport.h"
 #include "proc/framing.h"
 #include "util/error.h"
+#include "util/log.h"
 
 namespace scd::proc {
 
 namespace {
-
-constexpr std::uint32_t kOpGet = 1;
-constexpr std::uint32_t kOpPut = 2;
-constexpr std::uint32_t kOpRehome = 3;
-constexpr std::uint32_t kOpShutdown = 4;
-
-struct DkvReq {
-  std::uint32_t op = 0;
-  std::uint32_t pad = 0;
-  std::uint64_t count = 0;
-};
-static_assert(sizeof(DkvReq) == 16);
 
 void close_quiet(int& fd) {
   if (fd >= 0) {
@@ -116,7 +105,7 @@ void ProcDkv::join_server() {
 
 void ProcDkv::shutdown_servers() {
   SCD_REQUIRE(self_ >= 0, "shutdown_servers needs an attached store");
-  const DkvReq req{kOpShutdown, 0, 0};
+  const Request req{kShutdown, 0, 0};
   for (unsigned s = 0; s < partition_.num_shards(); ++s) {
     if (client_fds_[s] >= 0) {
       write_full(client_fds_[s], &req, sizeof(req));  // gone server = no-op
@@ -152,23 +141,30 @@ void ProcDkv::serve() {
         continue;
       }
       bool shutdown = false;
-      if (!serve_one(serve_fds_[pfd_rank[i]], shutdown)) {
-        close_quiet(serve_fds_[pfd_rank[i]]);
+      bool open = false;
+      try {
+        open = serve_one(serve_fds_[pfd_rank[i]], shutdown);
+      } catch (const std::exception& e) {
+        // A malformed request drops that client (it sees EOF), not the
+        // whole worker process.
+        SCD_LOG_WARN() << "dkv shard " << self_ - 1 << ": dropping client "
+                       << pfd_rank[i] << ": " << e.what();
       }
+      if (!open) close_quiet(serve_fds_[pfd_rank[i]]);
       if (shutdown) return;
     }
   }
 }
 
 bool ProcDkv::serve_one(int fd, bool& shutdown) {
-  DkvReq req;
+  Request req;
   const IoStatus st = read_full(fd, &req, sizeof(req), recv_timeout_s_);
   if (st != IoStatus::kOk) return false;  // EOF: client is gone
   switch (req.op) {
-    case kOpShutdown:
+    case kShutdown:
       shutdown = true;
       return true;
-    case kOpRehome: {
+    case kRehome: {
       std::uint64_t args[2];
       read_full_or_throw(fd, args, sizeof(args), recv_timeout_s_,
                          "dkv rehome request");
@@ -179,14 +175,17 @@ bool ProcDkv::serve_one(int fd, bool& shutdown) {
       const std::byte ack{1};
       return write_full(fd, &ack, sizeof(ack));
     }
-    case kOpGet: {
-      std::vector<std::uint64_t> keys(req.count);
+    case kGet: {
+      const std::size_t count =
+          checked_count(req.count, sizeof(std::uint64_t) + value_bytes_,
+                        kMaxFrameBytes, "dkv get request");
+      std::vector<std::uint64_t> keys(count);
       read_full_or_throw(fd, keys.data(), keys.size() * sizeof(keys[0]),
                          recv_timeout_s_, "dkv get request");
-      std::vector<std::byte> reply(req.count * value_bytes_);
+      std::vector<std::byte> reply(count * value_bytes_);
       {
         std::lock_guard<std::mutex> lock(data_mu_);
-        for (std::uint64_t i = 0; i < req.count; ++i) {
+        for (std::size_t i = 0; i < count; ++i) {
           SCD_REQUIRE(keys[i] < partition_.num_rows(), "dkv key out of range");
           std::memcpy(reply.data() + i * value_bytes_, slot(keys[i]),
                       value_bytes_);
@@ -194,16 +193,19 @@ bool ProcDkv::serve_one(int fd, bool& shutdown) {
       }
       return write_full(fd, reply.data(), reply.size());
     }
-    case kOpPut: {
-      std::vector<std::uint64_t> keys(req.count);
+    case kPut: {
+      const std::size_t count =
+          checked_count(req.count, sizeof(std::uint64_t) + value_bytes_,
+                        kMaxFrameBytes, "dkv put request");
+      std::vector<std::uint64_t> keys(count);
       read_full_or_throw(fd, keys.data(), keys.size() * sizeof(keys[0]),
                          recv_timeout_s_, "dkv put request");
-      std::vector<std::byte> rows(req.count * value_bytes_);
+      std::vector<std::byte> rows(count * value_bytes_);
       read_full_or_throw(fd, rows.data(), rows.size(), recv_timeout_s_,
                          "dkv put payload");
       {
         std::lock_guard<std::mutex> lock(data_mu_);
-        for (std::uint64_t i = 0; i < req.count; ++i) {
+        for (std::size_t i = 0; i < count; ++i) {
           SCD_REQUIRE(keys[i] < partition_.num_rows(), "dkv key out of range");
           std::memcpy(slot(keys[i]), rows.data() + i * value_bytes_,
                       value_bytes_);
@@ -238,7 +240,7 @@ void ProcDkv::remote_get(unsigned shard, std::span<const std::uint64_t> keys,
   const int fd = client_fds_[shard];
   SCD_REQUIRE(fd >= 0, "no channel to dkv shard " + std::to_string(shard));
   const std::string what = "dkv shard " + std::to_string(shard);
-  const DkvReq req{kOpGet, 0, keys.size()};
+  const Request req{kGet, 0, keys.size()};
   write_full_or_throw(fd, &req, sizeof(req), what);
   write_full_or_throw(fd, keys.data(), keys.size_bytes(), what);
   read_full_or_throw(fd, rows.data(), keys.size() * value_bytes_,
@@ -250,7 +252,7 @@ void ProcDkv::remote_put(unsigned shard, std::span<const std::uint64_t> keys,
   const int fd = client_fds_[shard];
   SCD_REQUIRE(fd >= 0, "no channel to dkv shard " + std::to_string(shard));
   const std::string what = "dkv shard " + std::to_string(shard);
-  const DkvReq req{kOpPut, 0, keys.size()};
+  const Request req{kPut, 0, keys.size()};
   write_full_or_throw(fd, &req, sizeof(req), what);
   write_full_or_throw(fd, keys.data(), keys.size_bytes(), what);
   write_full_or_throw(fd, rows.data(), keys.size() * value_bytes_, what);
@@ -446,7 +448,7 @@ void ProcDkv::rehome_shard(unsigned shard, unsigned new_owner) {
   // Fan the remap out to every server so workers route consistently; a
   // server whose process already died is skipped (its shard is exactly
   // the one being re-homed).
-  const DkvReq req{kOpRehome, 0, 2};
+  const Request req{kRehome, 0, 2};
   const std::uint64_t args[2] = {shard, new_owner};
   for (unsigned s = 0; s < partition_.num_shards(); ++s) {
     const int fd = client_fds_[s];

@@ -120,6 +120,25 @@ class ProcDkv final : public dkv::ShardedDkv {
   double rehome_cost(unsigned) const override { return 0.0; }
   unsigned effective_owner(std::uint64_t key) const override;
 
+  // -- Wire protocol --------------------------------------------------------
+  /// One client request: GET is followed by `count` keys, PUT by `count`
+  /// keys then `count` encoded rows, REHOME by two shard ids. `count`
+  /// comes off the socket, so the server caps it before sizing anything
+  /// by it.
+  enum Op : std::uint32_t { kGet = 1, kPut, kRehome, kShutdown };
+  struct Request {
+    std::uint32_t op = 0;
+    std::uint32_t pad = 0;
+    std::uint64_t count = 0;
+  };
+  static_assert(sizeof(Request) == 16);
+
+  /// Answer one request read from `fd` — the server thread's unit of
+  /// work. False when the client hung up or asked for shutdown; throws
+  /// comm::TransportError on a malformed request (the server thread then
+  /// drops that client).
+  bool serve_one(int fd, bool& shutdown);
+
  private:
   /// One remote batch: `keys` (all owned by `shard` post-remap) moved
   /// to/from the contiguous staging area `rows` of keys.size() slots.
@@ -134,9 +153,6 @@ class ProcDkv final : public dkv::ShardedDkv {
   void route_put(std::span<const std::uint64_t> keys, const std::byte* values);
 
   void serve();
-  /// Handle one request frame on `fd`; false when the client hung up or
-  /// asked for shutdown.
-  bool serve_one(int fd, bool& shutdown);
 
   bool row_is_local(std::uint64_t key) const;
   std::byte* slot(std::uint64_t key) {

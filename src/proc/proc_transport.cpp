@@ -122,7 +122,7 @@ bool ProcTransport::pump(unsigned from) {
   SCD_REQUIRE(peer.fd >= 0, "pump on a closed peer");
   FrameHeader header;
   const IoStatus st =
-      read_full(peer.fd, &header, sizeof(header), options_.recv_timeout_s);
+      read_frame_header(peer.fd, header, options_.recv_timeout_s);
   if (st == IoStatus::kEof) {
     peer.dead = true;
     close_quiet(peer.fd);
@@ -132,7 +132,6 @@ bool ProcTransport::pump(unsigned from) {
     throw comm::TransportError("recv from rank " + std::to_string(from) +
                                " timed out");
   }
-  SCD_REQUIRE(header.magic == kFrameMagic, "corrupt frame header");
   if (header.tag == kAbortTag) {
     throw comm::TransportError("transport aborted by rank " +
                                std::to_string(from));

@@ -212,18 +212,22 @@ void encode_sparse(RowCodec codec, std::span<const float> row,
   thread_local SparseScratch scratch;
   scratch.order.resize(k);
   for (std::uint32_t i = 0; i < k; ++i) scratch.order[i] = i;
-  // Deterministic top-R: value descending, index ascending on ties.
-  std::sort(scratch.order.begin(), scratch.order.end(),
-            [&row](std::uint32_t a, std::uint32_t b) {
-              if (row[a] != row[b]) return row[a] > row[b];
-              return a < b;
-            });
+  // Deterministic top-R: value descending, index ascending on ties. Only
+  // the first k/2 + 1 positions can matter — one more than that already
+  // means the dense fallback — so only that prefix is ordered.
+  const std::uint32_t prefix = std::min(k, k / 2 + 1);
+  std::partial_sort(scratch.order.begin(), scratch.order.begin() + prefix,
+                    scratch.order.end(),
+                    [&row](std::uint32_t a, std::uint32_t b) {
+                      if (row[a] != row[b]) return row[a] > row[b];
+                      return a < b;
+                    });
   double sum = 0.0;
   for (std::uint32_t i = 0; i < k; ++i) sum += row[i];
   const double target = (1.0 - static_cast<double>(eps)) * sum;
   double kept_sum = 0.0;
   std::uint32_t nnz = 0;
-  while (nnz < k && kept_sum < target) {
+  while (nnz < prefix && kept_sum < target) {
     kept_sum += row[scratch.order[nnz]];
     ++nnz;
   }

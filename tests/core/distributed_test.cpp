@@ -106,12 +106,12 @@ TEST(DistributedSamplerTest, PhaseStatsCoverTheIteration) {
   DistributedSampler dist(cluster, f.split->training(), f.split.get(),
                           f.hyper, options);
   const DistributedResult result = dist.run(20);
-  const sim::PhaseStats& cp = result.critical_path;
-  EXPECT_GT(cp.get(sim::Phase::kLoadPi), 0.0);
-  EXPECT_GT(cp.get(sim::Phase::kUpdatePhi), 0.0);
-  EXPECT_GT(cp.get(sim::Phase::kUpdatePi), 0.0);
-  EXPECT_GT(cp.get(sim::Phase::kUpdateBetaTheta), 0.0);
-  EXPECT_GT(cp.get(sim::Phase::kDrawMinibatch), 0.0);
+  const comm::PhaseStats& cp = result.critical_path;
+  EXPECT_GT(cp.get(comm::Phase::kLoadPi), 0.0);
+  EXPECT_GT(cp.get(comm::Phase::kUpdatePhi), 0.0);
+  EXPECT_GT(cp.get(comm::Phase::kUpdatePi), 0.0);
+  EXPECT_GT(cp.get(comm::Phase::kUpdateBetaTheta), 0.0);
+  EXPECT_GT(cp.get(comm::Phase::kDrawMinibatch), 0.0);
   EXPECT_GT(result.virtual_seconds, 0.0);
   EXPECT_GT(result.avg_iteration_seconds, 0.0);
 }

@@ -19,7 +19,7 @@ PhantomWorkload friendster_workload() {
 
 TEST(VerticalCostTest, ScalesWithKAndM) {
   const PhantomWorkload w = friendster_workload();
-  const sim::ComputeModel node = sim::das5_node();
+  const comm::ComputeModel node = comm::das5_node();
   const double base = vertical_iteration_cost(node, w, 512, 32).total();
   EXPECT_GT(vertical_iteration_cost(node, w, 1024, 32).total(), base);
   PhantomWorkload big_m = w;
@@ -30,9 +30,9 @@ TEST(VerticalCostTest, ScalesWithKAndM) {
 TEST(VerticalCostTest, MoreCoresAreFaster) {
   const PhantomWorkload w = friendster_workload();
   const double t16 =
-      vertical_iteration_cost(sim::das5_node(16), w, 1024, 32).total();
+      vertical_iteration_cost(comm::das5_node(16), w, 1024, 32).total();
   const double t40 =
-      vertical_iteration_cost(sim::hpc_cloud_node(40), w, 1024, 32).total();
+      vertical_iteration_cost(comm::hpc_cloud_node(40), w, 1024, 32).total();
   // 40 slower-clocked cores still beat 16 faster ones on this workload
   // (Fig. 4a's observation).
   EXPECT_LT(t40, t16);
@@ -41,7 +41,7 @@ TEST(VerticalCostTest, MoreCoresAreFaster) {
 TEST(VerticalCostTest, UpdatePhiDominatesAtLargeK) {
   const PhantomWorkload w = friendster_workload();
   const VerticalIterationCost cost =
-      vertical_iteration_cost(sim::das5_node(), w, 12288, 32);
+      vertical_iteration_cost(comm::das5_node(), w, 12288, 32);
   EXPECT_GT(cost.update_phi, cost.update_pi);
   EXPECT_GT(cost.update_phi, cost.update_beta_theta);
   EXPECT_GT(cost.update_phi, cost.draw_minibatch);
@@ -67,7 +67,7 @@ TEST(VerticalCostTest, DistributedBeatsVerticalAtScaleWithWideningGap) {
     const double distributed =
         dist.run(6).avg_iteration_seconds;
     const double vertical =
-        vertical_iteration_cost(sim::hpc_cloud_node(40), w, k, 32).total();
+        vertical_iteration_cost(comm::hpc_cloud_node(40), w, k, 32).total();
     EXPECT_LT(distributed, vertical) << "K=" << k;
     const double ratio = vertical / distributed;
     EXPECT_GT(ratio, previous_ratio * 0.8) << "gap shrank sharply at K=" << k;

@@ -7,8 +7,8 @@
 namespace scd::dkv {
 namespace {
 
-sim::ComputeModel node() {
-  sim::ComputeModel m;
+comm::ComputeModel node() {
+  comm::ComputeModel m;
   m.mem_bandwidth_Bps = 1e9;
   return m;
 }

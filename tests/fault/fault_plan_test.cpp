@@ -169,11 +169,11 @@ TEST(FaultInjectorTest, QuietLinksInjectNothing) {
   FaultInjector inj(plan, 4);
   for (int i = 0; i < 50; ++i) {
     // Other link, and same link outside its window: clean.
-    const sim::SendFaults other = inj.on_send(0, 2, 0.5);
+    const comm::SendFaults other = inj.on_send(0, 2, 0.5);
     EXPECT_EQ(other.dropped_attempts, 0u);
     EXPECT_EQ(other.duplicates, 0u);
     EXPECT_DOUBLE_EQ(other.extra_delay_s, 0.0);
-    const sim::SendFaults late = inj.on_send(0, 1, 2.0);
+    const comm::SendFaults late = inj.on_send(0, 1, 2.0);
     EXPECT_EQ(late.dropped_attempts, 0u);
     EXPECT_DOUBLE_EQ(late.extra_delay_s, 0.0);
   }
@@ -188,8 +188,8 @@ TEST(FaultInjectorTest, DrawsAreDeterministicPerMessageSequence) {
   unsigned drops = 0;
   unsigned dups = 0;
   for (int i = 0; i < 200; ++i) {
-    const sim::SendFaults fa = a.on_send(0, 1, 1.0);
-    const sim::SendFaults fb = b.on_send(0, 1, 1.0);
+    const comm::SendFaults fa = a.on_send(0, 1, 1.0);
+    const comm::SendFaults fb = b.on_send(0, 1, 1.0);
     EXPECT_EQ(fa.dropped_attempts, fb.dropped_attempts);
     EXPECT_EQ(fa.duplicates, fb.duplicates);
     EXPECT_DOUBLE_EQ(fa.extra_delay_s, 2e-3);

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +27,58 @@ std::vector<float> random_pi_row(rng::Xoshiro256& rng, std::uint32_t k,
   for (std::uint32_t i = 0; i < k; ++i) row[i] *= inv;
   row[k] = phi_sum;
   return row;
+}
+
+/// Full-sort reference for the sparse encoders: orders all K entries
+/// (value descending, index ascending) before choosing nnz, then lays the
+/// row out as SparseHeader | indices | value-codec block | fp32 tail, or
+/// as the dense fallback. The kept values plus the tail encode exactly
+/// like a dense row of nnz + 1 floats.
+std::vector<std::byte> full_sort_sparse_encode(RowCodec codec,
+                                               std::span<const float> row,
+                                               float eps) {
+  const auto k = static_cast<std::uint32_t>(row.size() - 1);
+  const RowCodec value = value_codec(codec);
+  std::vector<std::byte> out(encoded_bytes(codec, k + 1), std::byte{0});
+  std::vector<std::uint32_t> order(k);
+  for (std::uint32_t i = 0; i < k; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return row[a] != row[b] ? row[a] > row[b] : a < b;
+  });
+  double sum = 0.0;
+  for (std::uint32_t i = 0; i < k; ++i) sum += row[i];
+  const double target = (1.0 - static_cast<double>(eps)) * sum;
+  double kept_sum = 0.0;
+  std::uint32_t nnz = 0;
+  while (nnz < k && kept_sum < target) kept_sum += row[order[nnz++]];
+  if (nnz > k / 2 || sum <= 0.0) {
+    const SparseHeader header{k, 0.0f};
+    std::memcpy(out.data(), &header, kSparseHeaderBytes);
+    encode_row(value, row,
+               std::span(out).subspan(kSparseHeaderBytes,
+                                      encoded_bytes(value, k + 1)));
+    return out;
+  }
+  std::sort(order.begin(), order.begin() + nnz);
+  const SparseHeader header{
+      nnz, static_cast<float>(std::max(0.0, sum - kept_sum))};
+  std::memcpy(out.data(), &header, kSparseHeaderBytes);
+  std::size_t at = kSparseHeaderBytes;
+  std::vector<float> kept;
+  for (std::uint32_t i = 0; i < nnz; ++i) {
+    if (sparse_index_bytes(k) == sizeof(std::uint16_t)) {
+      const auto idx = static_cast<std::uint16_t>(order[i]);
+      std::memcpy(out.data() + at, &idx, sizeof(idx));
+    } else {
+      std::memcpy(out.data() + at, &order[i], sizeof(order[i]));
+    }
+    at += sparse_index_bytes(k);
+    kept.push_back(row[order[i]]);
+  }
+  kept.push_back(row[k]);
+  encode_row(value, kept,
+             std::span(out).subspan(at, encoded_bytes(value, nnz + 1)));
+  return out;
 }
 
 TEST(RowCodecTest, EncodedBytesMatchDocumentedLayouts) {
@@ -131,6 +185,68 @@ TEST(RowCodecTest, HalfConversionRoundTripsEveryHalf) {
     if (exp == 0x1fu) continue;  // inf/nan
     EXPECT_EQ(float_to_half(half_to_float(static_cast<std::uint16_t>(h))),
               h);
+  }
+}
+
+TEST(RowCodecTest, SparseEncodeMatchesFullSortReferenceOnTies) {
+  // Coarsely quantized rows: most entries tie with many others, so the
+  // index tie-break decides which of them land in the kept prefix.
+  rng::Xoshiro256 rng(11);
+  for (const RowCodec codec : {RowCodec::kSparseTopR,
+                               RowCodec::kSparseTopRFp16,
+                               RowCodec::kSparseTopRInt8}) {
+    for (const std::uint32_t k : {1u, 2u, 7u, 8u, 63u, 64u, 65u, 200u}) {
+      for (const float eps : {0.0f, 0.01f, 0.2f, 0.6f}) {
+        for (int rep = 0; rep < 20; ++rep) {
+          std::vector<float> row(k + 1);
+          for (std::uint32_t i = 0; i < k; ++i) {
+            const int level = static_cast<int>(rng.next_double() * 4.0);
+            row[i] = rep % 2 == 0 ? 0.125f * static_cast<float>(level)
+                                  : (level == 3 ? 1.0f : 0.001f);
+          }
+          row[k] = 3.5f;
+          std::vector<std::byte> enc(encoded_bytes(codec, k + 1));
+          encode_row(codec, row, enc, eps);
+          EXPECT_EQ(enc, full_sort_sparse_encode(codec, row, eps))
+              << codec_name(codec) << " k=" << k << " eps=" << eps
+              << " rep=" << rep;
+        }
+      }
+    }
+  }
+}
+
+TEST(RowCodecTest, SparseEncodeMatchesFullSortReferenceAtFallbackBoundary) {
+  // `heavy` equal entries carry 99.5% of the mass and the rest share
+  // 0.5%, so at eps = 1% exactly `heavy` entries are kept: k/2 stays
+  // sparse (nnz == k/2), k/2 + 1 is the first count that falls back.
+  for (const RowCodec codec : {RowCodec::kSparseTopR,
+                               RowCodec::kSparseTopRFp16,
+                               RowCodec::kSparseTopRInt8}) {
+    for (const std::uint32_t k : {8u, 9u, 64u, 65u}) {
+      for (const std::uint32_t heavy : {k / 2, k / 2 + 1}) {
+        std::vector<float> row(k + 1);
+        for (std::uint32_t i = 0; i < k; ++i) {
+          // The k/2 odd indices are heavy, plus index 0 past k/2, so
+          // heavy and light entries interleave across the row.
+          const bool is_heavy = i % 2 == 1 || (i == 0 && heavy > k / 2);
+          row[i] = is_heavy ? 0.995f / static_cast<float>(heavy)
+                            : 0.005f / static_cast<float>(k - heavy);
+        }
+        row[k] = 2.0f;
+        std::uint32_t heavy_count = 0;
+        for (std::uint32_t i = 0; i < k; ++i) {
+          heavy_count += row[i] > 0.01f ? 1 : 0;
+        }
+        ASSERT_EQ(heavy_count, heavy) << "k=" << k;
+        std::vector<std::byte> enc(encoded_bytes(codec, k + 1));
+        encode_row(codec, row, enc, 0.01f);
+        EXPECT_EQ(enc, full_sort_sparse_encode(codec, row, 0.01f))
+            << codec_name(codec) << " k=" << k << " heavy=" << heavy;
+        EXPECT_EQ(row_nnz(codec, k + 1, enc), heavy <= k / 2 ? heavy : k)
+            << codec_name(codec) << " k=" << k << " heavy=" << heavy;
+      }
+    }
   }
 }
 

@@ -1,8 +1,8 @@
-#include "sim/compute_model.h"
+#include "comm/compute_model.h"
 
 #include <gtest/gtest.h>
 
-namespace scd::sim {
+namespace scd::comm {
 namespace {
 
 TEST(ComputeModelTest, KernelTimeScalesWithThreadsAndEfficiency) {
@@ -51,4 +51,4 @@ TEST(ComputeModelTest, ValidationCatchesNonsense) {
 }
 
 }  // namespace
-}  // namespace scd::sim
+}  // namespace scd::comm
