@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/sequential_sampler.h"
 #include "sim/cluster.h"
 #include "tests/core/test_fixtures.h"
@@ -21,6 +23,14 @@ struct EquivParam {
   unsigned workers;
   bool pipeline;
 };
+
+// Without a printer gtest names each instance by its raw bytes, padding
+// included, and the padding of a parameter holds whatever the stack held
+// (for some entries the top byte of a randomised address), so the
+// discovered test names would change from run to run.
+void PrintTo(const EquivParam& p, std::ostream* os) {
+  *os << p.workers << (p.pipeline ? "_workers_pipelined" : "_workers_serial");
+}
 
 class DistributedEquivalenceTest
     : public ::testing::TestWithParam<EquivParam> {};
