@@ -3,8 +3,9 @@
 // DKV construction, fault/trace installation).
 //
 // Implementations: sim::SimCluster (threads + virtual time) and
-// proc::ProcCluster (forked processes + wall time). The sampler is
-// written against this interface; `scd run --backend=...` picks one.
+// proc::ProcCluster (forked processes on one host + wall time; pi lives
+// in a memory mapping the ranks share). The sampler is written against
+// this interface; `scd run --backend=...` picks one.
 #pragma once
 
 #include <functional>
@@ -65,7 +66,8 @@ class Cluster {
   virtual const NetworkModel& network() const = 0;
   virtual const ComputeModel& compute_model() const = 0;
 
-  /// Build the pi-row store for this backend (SimRdmaDkv / ProcDkv).
+  /// Build the pi-row store for this backend (SimRdmaDkv / ProcDkv). On
+  /// proc it must precede run(), so the forked ranks inherit it.
   virtual std::unique_ptr<dkv::ShardedDkv> make_store(
       const StoreConfig& config) = 0;
 

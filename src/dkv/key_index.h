@@ -9,13 +9,14 @@
 // original access pattern over the deduplicated row buffer.
 //
 // Sorting (rather than a hash or an N-sized stamp array) keeps the cost
-// O(R log R) in the reference count R alone — independent of graph size,
-// allocation-free once the grow-only buffers are warm — and hands the
-// distinct keys over in sorted order, which under block partitioning is
-// exactly owner-grouped, the order the coalescing layer wants.
+// independent of graph size — O(R) per byte of the largest key, by a
+// byte-wise radix sort, allocation-free once the grow-only buffers are
+// warm — and hands the distinct keys over in sorted order, which under
+// block partitioning is exactly owner-grouped, the order the coalescing
+// layer wants.
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -28,6 +29,7 @@ class KeyIndex {
   /// Pre-size the internal buffers for up to `max_refs` references.
   void reserve(std::size_t max_refs) {
     order_.reserve(max_refs);
+    spare_.reserve(max_refs);
     unique_.reserve(max_refs);
     remap_.reserve(max_refs);
   }
@@ -35,12 +37,30 @@ class KeyIndex {
   /// Index `keys`; afterwards unique_keys()/remap() describe it.
   void build(std::span<const std::uint64_t> keys) {
     order_.resize(keys.size());
+    spare_.resize(keys.size());
     remap_.resize(keys.size());
     unique_.clear();
+    std::uint64_t key_bits = 0;
     for (std::size_t i = 0; i < keys.size(); ++i) {
       order_[i] = {keys[i], static_cast<std::uint32_t>(i)};
+      key_bits |= keys[i];
     }
-    std::sort(order_.begin(), order_.end());
+    // LSD radix sort by key, one byte per pass, for as many bytes as the
+    // largest key has. Every pass is stable and the input is in reference
+    // order, so equal keys keep ascending positions: the result is the
+    // (key, position) pairs in ascending order.
+    for (unsigned shift = 0; shift < 64 && (key_bits >> shift) != 0;
+         shift += 8) {
+      std::array<std::uint32_t, 257> start{};
+      for (const auto& entry : order_) {
+        ++start[((entry.first >> shift) & 0xff) + 1];
+      }
+      for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+      for (const auto& entry : order_) {
+        spare_[start[(entry.first >> shift) & 0xff]++] = entry;
+      }
+      order_.swap(spare_);
+    }
     for (const auto& [key, pos] : order_) {
       if (unique_.empty() || unique_.back() != key) unique_.push_back(key);
       remap_[pos] = static_cast<std::uint32_t>(unique_.size() - 1);
@@ -56,6 +76,7 @@ class KeyIndex {
 
  private:
   std::vector<std::pair<std::uint64_t, std::uint32_t>> order_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> spare_;
   std::vector<std::uint64_t> unique_;
   std::vector<std::uint32_t> remap_;
 };

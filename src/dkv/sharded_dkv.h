@@ -9,7 +9,7 @@
 // lanes; the process backend has neither, so the defaults are no-ops.
 //
 // Implementations: SimRdmaDkv (shared address space, modeled costs) and
-// proc::ProcDkv (per-process shard servers over Unix sockets, zero
+// proc::ProcDkv (one memory mapping shared by the forked ranks, zero
 // modeled cost — the callers charge wall time instead).
 #pragma once
 

@@ -14,6 +14,22 @@
 
 namespace scd::proc {
 
+namespace {
+
+/// A length announced by a peer: returned as a size, or a
+/// comm::TransportError naming `what` when it exceeds `limit` bytes.
+std::size_t checked_length(std::uint64_t bytes, std::uint64_t limit,
+                           const std::string& what) {
+  if (bytes > limit) {
+    throw comm::TransportError(what + ": announced length of " +
+                               std::to_string(bytes) + " bytes exceeds the " +
+                               std::to_string(limit) + "-byte cap");
+  }
+  return static_cast<std::size_t>(bytes);
+}
+
+}  // namespace
+
 bool write_full(int fd, const void* data, std::size_t len) {
   const char* p = static_cast<const char*>(data);
   while (len > 0) {
@@ -83,13 +99,6 @@ IoStatus read_full(int fd, void* data, std::size_t len, double timeout_s) {
   return IoStatus::kOk;
 }
 
-void write_full_or_throw(int fd, const void* data, std::size_t len,
-                         const std::string& what) {
-  if (!write_full(fd, data, len)) {
-    throw comm::TransportError(what + ": peer is gone");
-  }
-}
-
 void read_full_or_throw(int fd, void* data, std::size_t len, double timeout_s,
                         const std::string& what) {
   switch (read_full(fd, data, len, timeout_s)) {
@@ -102,25 +111,13 @@ void read_full_or_throw(int fd, void* data, std::size_t len, double timeout_s,
   }
 }
 
-std::size_t checked_count(std::uint64_t count, std::size_t item_bytes,
-                          std::uint64_t limit, const std::string& what) {
-  if (item_bytes > 0 && count > limit / item_bytes) {
-    throw comm::TransportError(what + ": announced length of " +
-                               std::to_string(count) + " x " +
-                               std::to_string(item_bytes) +
-                               " bytes exceeds the " + std::to_string(limit) +
-                               "-byte cap");
-  }
-  return static_cast<std::size_t>(count);
-}
-
 IoStatus read_frame_header(int fd, FrameHeader& header, double timeout_s) {
   const IoStatus st = read_full(fd, &header, sizeof(header), timeout_s);
   if (st != IoStatus::kOk) return st;
   if (header.magic != kFrameMagic) {
     throw comm::TransportError("corrupt frame header");
   }
-  checked_count(header.payload_bytes, 1, kMaxFrameBytes, "frame payload");
+  checked_length(header.payload_bytes, kMaxFrameBytes, "frame payload");
   return IoStatus::kOk;
 }
 
@@ -135,7 +132,7 @@ IoStatus read_status(int fd, double timeout_s, StatusBlob& blob,
                      std::string& msg) {
   const IoStatus st = read_full(fd, &blob, sizeof(blob), timeout_s);
   if (st != IoStatus::kOk || blob.magic != kStatusMagic) return st;
-  msg.assign(checked_count(blob.msg_len, 1, kMaxStatusMessageBytes,
+  msg.assign(checked_length(blob.msg_len, kMaxStatusMessageBytes,
                            "worker status message"),
              '\0');
   if (!msg.empty()) {

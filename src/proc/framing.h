@@ -1,5 +1,5 @@
 // Length-prefixed framing over Unix-domain stream sockets — the shared
-// low-level I/O of ProcTransport, ProcDkv and ProcCluster's status pipes.
+// low-level I/O of ProcTransport and ProcCluster's status pipes.
 //
 // Every message is one frame: a fixed 16-byte header followed by the
 // payload. Stream sockets guarantee ordering per fd, so per-(from, to)
@@ -23,7 +23,7 @@
 namespace scd::proc {
 
 inline constexpr std::uint32_t kFrameMagic = 0x53434446;  // "SCDF"
-/// Largest payload one frame or one DKV batch may announce.
+/// Largest payload one frame may announce.
 inline constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 30;
 
 struct FrameHeader {
@@ -51,19 +51,10 @@ bool write_full(int fd, const void* data, std::size_t len);
 /// connection that dies or stalls mid-frame throws.
 IoStatus read_full(int fd, void* data, std::size_t len, double timeout_s);
 
-/// Throwing conveniences for protocol channels where EOF/timeouts are
-/// always fatal (the DKV client side). `what` names the channel in the
-/// error message.
-void write_full_or_throw(int fd, const void* data, std::size_t len,
-                         const std::string& what);
+/// read_full for reads where EOF or a timeout is always fatal (a frame
+/// payload, a status message). `what` names the read in the error.
 void read_full_or_throw(int fd, void* data, std::size_t len, double timeout_s,
                         const std::string& what);
-
-/// `count` items of `item_bytes` each, as announced by a peer: returns
-/// count, or throws comm::TransportError naming `what` when they would
-/// take more than `limit` bytes.
-std::size_t checked_count(std::uint64_t count, std::size_t item_bytes,
-                          std::uint64_t limit, const std::string& what);
 
 /// Read one frame header. kOk only for a header with the frame magic
 /// and a payload of at most kMaxFrameBytes; anything else throws.

@@ -4,14 +4,16 @@
 //
 // Construction wires everything that must exist before fork: the
 // ProcTransport socket mesh, and (via make_store, which must also be
-// called pre-run) the ProcDkv storage image and DKV socket mesh. run()
-// then forks one child per *worker* rank and executes rank 0 — the
-// master — in the launcher process itself, so master-side results
-// (history, snapshots) land in the caller's address space with no extra
-// shipping. Each child attaches the transport and store to its rank,
-// runs the rank function under a ProcContext, reports a status blob
-// (exit code, message, final wall clock, per-phase stats) over a
-// dedicated pipe, and _exits without running the parent's teardown.
+// called pre-run) the ProcDkv shared mapping that holds pi. run() then
+// forks one child per *worker* rank and executes rank 0 — the master —
+// in the launcher process itself, so master-side results (history,
+// snapshots, the final pi image in the mapping) land in the caller's
+// address space with no extra shipping. Each child attaches the
+// transport to its rank, runs the rank function under a ProcContext,
+// reports a status blob (exit code, message, final wall clock,
+// per-phase stats) over a dedicated pipe, and _exits without running
+// the parent's teardown. Both the socket mesh and the mapping are
+// inherited through fork, so every rank runs on the launcher's host.
 //
 // ProcContext implements the wall-clock accounting regime: now() is
 // real elapsed seconds, advance()/advance_to() are no-ops, and
@@ -47,7 +49,7 @@ class ProcCluster final : public comm::Cluster {
  public:
   struct Config {
     unsigned num_ranks = 2;
-    /// Wall-clock receive deadline for transport and DKV channels.
+    /// Wall-clock receive deadline for transport channels and status pipes.
     double recv_timeout_s = 120.0;
     /// Attribution-only models: ProcContext::charge_* call sites pass
     /// modeled times through these, but the booked values are measured.
@@ -80,8 +82,8 @@ class ProcCluster final : public comm::Cluster {
     return config_.compute;
   }
 
-  /// Build the ProcDkv (pre-run only; exactly one per cluster; phantom
-  /// stores are simulator-only).
+  /// Build the ProcDkv (pre-run only, so the fork inherits its mapping;
+  /// phantom stores are simulator-only).
   std::unique_ptr<dkv::ShardedDkv> make_store(
       const comm::StoreConfig& config) override;
 
@@ -101,7 +103,6 @@ class ProcCluster final : public comm::Cluster {
  private:
   Config config_;
   ProcTransport transport_;
-  ProcDkv* store_ = nullptr;  // observer; owned by make_store's caller
   comm::FaultHooks* fault_ = nullptr;
   bool ran_ = false;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "util/error.h"
@@ -203,13 +204,55 @@ struct SparseScratch {
   std::vector<float> values;
 };
 
+/// Dense fallback: sentinel header, then the value codec's full row.
+void encode_dense_fallback(RowCodec value, std::span<const float> row,
+                           std::span<std::byte> out) {
+  const auto k = static_cast<std::uint32_t>(row.size() - 1);
+  const SparseHeader header{k, 0.0f};
+  std::memcpy(out.data(), &header, kSparseHeaderBytes);
+  const std::size_t dense = encoded_bytes(value, k + 1);
+  encode_row(value, row, out.subspan(kSparseHeaderBytes, dense));
+  const std::size_t used = kSparseHeaderBytes + dense;
+  std::memset(out.data() + used, 0, out.size() - used);
+}
+
+/// True when the largest k/2 of the `k` entries certainly sum to less
+/// than `target`, i.e. the ordered top-R pass would end in the dense
+/// fallback. O(K): an unordered selection of the top k/2, then their
+/// sum. The ordered pass adds the same values in another order, so a
+/// sum within rounding of the target returns false, as do rows with a
+/// negative entry in the top k/2 (their prefix sums are not monotone)
+/// and non-finite rows; those take the ordered pass.
+bool top_half_below(std::span<const float> values, double target,
+                    std::vector<float>& scratch) {
+  if (!std::isfinite(target)) return false;
+  const std::size_t half = values.size() / 2;
+  scratch.assign(values.begin(), values.end());
+  std::nth_element(scratch.begin(), scratch.begin() + half, scratch.end(),
+                   std::greater<float>());
+  double top = 0.0;
+  for (std::size_t i = 0; i < half; ++i) {
+    if (scratch[i] < 0.0f) return false;
+    top += scratch[i];
+  }
+  return top < target * (1.0 - 1e-9);
+}
+
 void encode_sparse(RowCodec codec, std::span<const float> row,
                    std::span<std::byte> out, float sparse_eps) {
   const std::uint32_t k = static_cast<std::uint32_t>(row.size() - 1);
   const RowCodec value = value_codec(codec);
   const float eps = std::clamp(sparse_eps, 0.0f, 1.0f);
 
+  double sum = 0.0;
+  for (std::uint32_t i = 0; i < k; ++i) sum += row[i];
+  const double target = (1.0 - static_cast<double>(eps)) * sum;
   thread_local SparseScratch scratch;
+  if (sum <= 0.0 || top_half_below(row.first(k), target, scratch.values)) {
+    encode_dense_fallback(value, row, out);
+    return;
+  }
+
   scratch.order.resize(k);
   for (std::uint32_t i = 0; i < k; ++i) scratch.order[i] = i;
   // Deterministic top-R: value descending, index ascending on ties. Only
@@ -222,24 +265,14 @@ void encode_sparse(RowCodec codec, std::span<const float> row,
                       if (row[a] != row[b]) return row[a] > row[b];
                       return a < b;
                     });
-  double sum = 0.0;
-  for (std::uint32_t i = 0; i < k; ++i) sum += row[i];
-  const double target = (1.0 - static_cast<double>(eps)) * sum;
   double kept_sum = 0.0;
   std::uint32_t nnz = 0;
   while (nnz < prefix && kept_sum < target) {
     kept_sum += row[scratch.order[nnz]];
     ++nnz;
   }
-
-  if (nnz > k / 2 || sum <= 0.0) {
-    // Dense fallback: sentinel header, then the value codec's full row.
-    const SparseHeader header{k, 0.0f};
-    std::memcpy(out.data(), &header, kSparseHeaderBytes);
-    const std::size_t dense = encoded_bytes(value, k + 1);
-    encode_row(value, row, out.subspan(kSparseHeaderBytes, dense));
-    const std::size_t used = kSparseHeaderBytes + dense;
-    std::memset(out.data() + used, 0, out.size() - used);
+  if (nnz > k / 2) {
+    encode_dense_fallback(value, row, out);
     return;
   }
 

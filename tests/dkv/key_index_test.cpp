@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "dkv/sim_rdma_dkv.h"
 #include "random/xoshiro.h"
@@ -37,6 +38,36 @@ TEST(KeyIndexTest, EmptyListYieldsEmptyIndex) {
   index.build({});
   EXPECT_TRUE(index.unique_keys().empty());
   EXPECT_TRUE(index.remap().empty());
+}
+
+TEST(KeyIndexTest, MatchesSortedUniqueReferenceAcrossKeyWidths) {
+  // Keys from one byte up to the full 64 bits, duplicate-heavy, so every
+  // radix pass count runs and equal keys must collapse wherever they sit.
+  rng::Xoshiro256 rng(77);
+  KeyIndex index;
+  for (const unsigned bits : {1u, 8u, 9u, 15u, 33u, 64u}) {
+    for (const std::size_t n : {1u, 17u, 544u, 3000u}) {
+      std::vector<std::uint64_t> pool(n / 3 + 1);
+      for (std::uint64_t& key : pool) {
+        key = bits == 64 ? rng() : rng() & ((1ull << bits) - 1);
+      }
+      std::vector<std::uint64_t> keys(n);
+      for (std::uint64_t& key : keys) key = pool[rng() % pool.size()];
+      index.build(keys);
+
+      std::vector<std::uint64_t> expect = keys;
+      std::sort(expect.begin(), expect.end());
+      expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+      const auto unique = index.unique_keys();
+      ASSERT_EQ(std::vector<std::uint64_t>(unique.begin(), unique.end()),
+                expect)
+          << "bits=" << bits << " n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(unique[index.remap()[i]], keys[i])
+            << "bits=" << bits << " n=" << n << " ref=" << i;
+      }
+    }
+  }
 }
 
 TEST(KeyIndexTest, ReusedIndexForgetsPreviousBuild) {

@@ -1,18 +1,22 @@
 // The tentpole acceptance property: the SAME DistributedSampler loops,
-// run on forked processes over real sockets, reproduce the simulator's
-// model trajectory bit-for-bit at fp32 — perplexity history, beta, and
-// every pi entry compared with EXPECT_EQ, clean run and crash-plan FT
-// run alike. Virtual and wall clocks differ by construction; numbers
-// must not.
+// run on forked processes over real sockets and the shared pi mapping,
+// reproduce the simulator's model trajectory bit-for-bit — perplexity
+// history, beta, and every pi entry compared with EXPECT_EQ, under every
+// row codec pipelined or serial, and for a crash-plan FT run at fp32.
+// Virtual and wall clocks differ by construction; numbers must not.
 #include "core/distributed_sampler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "fault/fault_plan.h"
 #include "proc/proc_cluster.h"
+#include "quant/row_codec.h"
 #include "sim/cluster.h"
 #include "tests/core/test_fixtures.h"
 
@@ -31,12 +35,15 @@ struct Trajectory {
 /// seed per call so both backends see identical inputs.
 Trajectory run_on(comm::Cluster& cluster, std::uint64_t iterations,
                   const fault::FaultPlan* plan,
-                  std::uint64_t rollback_interval) {
+                  std::uint64_t rollback_interval,
+                  quant::RowCodec codec = quant::RowCodec::kFloat32,
+                  bool pipeline = false) {
   auto f = small_planted_fixture(1618, 120, 4, 60);
   f.options.eval_interval = 10;
   DistributedOptions options;
   options.base = f.options;
-  options.pipeline = false;  // FT never pipelines; compare flat vs flat
+  options.pipeline = pipeline;  // FT never pipelines
+  options.pi_codec = codec;
   options.chunk_vertices = 8;
   options.fault_plan = plan;
   options.rollback_interval = rollback_interval;
@@ -73,20 +80,39 @@ void expect_bit_identical(const Trajectory& sim, const Trajectory& proc) {
   }
 }
 
-TEST(ProcDistributedTest, MatchesSimulatorTrajectoryBitExact) {
+struct CodecParam {
+  quant::RowCodec codec;
+  bool pipeline;
+};
+
+// Names the instances <codec>_{pipelined,serial}; gtest would otherwise
+// print the struct's raw bytes.
+void PrintTo(const CodecParam& p, std::ostream* os) {
+  std::string name = quant::codec_name(p.codec);
+  std::replace(name.begin(), name.end(), '-', '_');
+  *os << name << (p.pipeline ? "_pipelined" : "_serial");
+}
+
+class ProcDistributedCodecTest : public ::testing::TestWithParam<CodecParam> {
+};
+
+TEST_P(ProcDistributedCodecTest, MatchesSimulatorTrajectoryBitExact) {
   constexpr unsigned kWorkers = 2;
   constexpr std::uint64_t kIterations = 30;
+  const auto [codec, pipeline] = GetParam();
 
   sim::SimCluster::Config sim_config;
   sim_config.num_ranks = kWorkers + 1;
   sim::SimCluster sim_cluster(sim_config);
-  const Trajectory sim = run_on(sim_cluster, kIterations, nullptr, 0);
+  const Trajectory sim =
+      run_on(sim_cluster, kIterations, nullptr, 0, codec, pipeline);
 
   proc::ProcCluster::Config proc_config;
   proc_config.num_ranks = kWorkers + 1;
   proc_config.recv_timeout_s = 60.0;
   proc::ProcCluster proc_cluster(proc_config);
-  const Trajectory proc = run_on(proc_cluster, kIterations, nullptr, 0);
+  const Trajectory proc =
+      run_on(proc_cluster, kIterations, nullptr, 0, codec, pipeline);
 
   expect_bit_identical(sim, proc);
   EXPECT_GT(proc.result.virtual_seconds, 0.0);  // wall time on proc
@@ -94,6 +120,21 @@ TEST(ProcDistributedTest, MatchesSimulatorTrajectoryBitExact) {
   EXPECT_GT(proc_cluster.max_stats().get(comm::Phase::kUpdatePhi), 0.0);
   EXPECT_GT(proc_cluster.max_stats().get(comm::Phase::kLoadPi), 0.0);
 }
+
+std::vector<CodecParam> every_codec_both_modes() {
+  std::vector<CodecParam> out;
+  for (const quant::RowCodec codec :
+       {quant::RowCodec::kFloat32, quant::RowCodec::kFp16,
+        quant::RowCodec::kInt8, quant::RowCodec::kSparseTopR,
+        quant::RowCodec::kSparseTopRFp16, quant::RowCodec::kSparseTopRInt8}) {
+    out.push_back({codec, true});
+    out.push_back({codec, false});
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Codecs, ProcDistributedCodecTest,
+                         ::testing::ValuesIn(every_codec_both_modes()));
 
 TEST(ProcDistributedTest, CrashPlanMatchesSimulatorRecoveryBitExact) {
   // One worker fail-stops at a protocol point of a fixed iteration (the

@@ -1,8 +1,9 @@
 // ProcDkv over real forked processes: cross-shard batched get/put with
-// the barrier-separated stage discipline, encoded rows on the socket,
-// rehoming through live servers, and the end-of-run local pull. Worker
-// rank s + 1 serves shard s; assertions outside rank 0 throw instead of
-// using gtest (only the parent's failures reach the test binary).
+// the barrier-separated stage discipline, encoded rows in the shared
+// mapping, re-homing, rows that outlive a failed worker, and the final
+// image read in the launcher after the run. Worker rank s + 1 owns shard
+// s; assertions outside rank 0 throw instead of using gtest (only the
+// parent's failures reach the test binary).
 #include "proc/proc_dkv.h"
 
 #include <gtest/gtest.h>
@@ -63,8 +64,8 @@ TEST(ProcDkvTest, CrossShardBatchesRoundTripAtFp32) {
   cluster.run([&](comm::Context& ctx) {
     comm::Transport& net = ctx.transport();
     if (ctx.rank() == 1) {
-      // One batch mixing a local row (0) with remote ones (4, 6): the
-      // router must split it per owner and coalesce the remote pair.
+      // One batch mixing a row of its own shard (0) with rows of the
+      // other shard (4, 6).
       const std::vector<std::uint64_t> keys = {0, 4, 6};
       std::vector<float> values;
       for (const std::uint64_t key : keys) {
@@ -90,7 +91,7 @@ TEST(ProcDkvTest, CrossShardBatchesRoundTripAtFp32) {
       }
     }
     if (ctx.rank() == 0) {
-      // Master mid-run reads fetch single rows through the servers.
+      // Master mid-run reads see the workers' writes too.
       std::vector<float> row(kWidth);
       store->read_row(6, row);
       EXPECT_EQ(row, updated_row(6));
@@ -98,8 +99,8 @@ TEST(ProcDkvTest, CrossShardBatchesRoundTripAtFp32) {
     net.barrier(ctx.rank());
   });
 
-  // After the run the image was pulled local: row() serves the final
-  // bytes without sockets, bit-exact at fp32.
+  // After the run row() serves the final bytes from the mapping,
+  // bit-exact at fp32.
   for (std::uint64_t key = 0; key < kRows; ++key) {
     const bool written = key == 0 || key == 4 || key == 6;
     const std::vector<float> expect =
@@ -156,10 +157,9 @@ TEST(ProcDkvTest, LossyCodecMatchesLocalEncodeDecodeReference) {
 }
 
 TEST(ProcDkvTest, RehomeRoutesReadsAndWritesToTheHeir) {
-  // The FT re-homing step: the master re-points shard 0 onto shard 1 on
-  // every live server, restores a row through the new owner (the
-  // attached init_row path the rollback restore uses), and every rank's
-  // subsequent traffic for shard-0 rows lands on the heir.
+  // The FT re-homing step: the master re-points shard 0 onto shard 1,
+  // restores a row (the init_row path the rollback restore uses), and
+  // every rank then sees the heir as owner and reads the restored row.
   ProcCluster cluster(cluster_config(3));
   auto store = cluster.make_store(
       {.num_rows = kRows, .row_width = kWidth, .phantom = false});
@@ -187,9 +187,82 @@ TEST(ProcDkvTest, RehomeRoutesReadsAndWritesToTheHeir) {
     net.barrier(ctx.rank());
   });
 
-  // pull_all_rows followed the remap too.
+  // The launcher reads the restored row after the run.
   const std::span<const float> got = store->row(1);
   EXPECT_EQ(std::vector<float>(got.begin(), got.end()), updated_row(1));
+}
+
+TEST(ProcDkvTest, RowsPutByAFailedWorkerStayReadable) {
+  // The FT rollback path relies on this: the mapping outlives the rank
+  // that wrote it, so the master still reads what a worker put before
+  // it threw.
+  ProcCluster cluster(cluster_config(3));
+  auto store = cluster.make_store(
+      {.num_rows = kRows, .row_width = kWidth, .phantom = false});
+  for (std::uint64_t key = 0; key < kRows; ++key) {
+    store->init_row(key, initial_row(key));
+  }
+  const std::vector<std::uint64_t> keys = {2, 7};
+  std::vector<float> values;
+  for (const std::uint64_t key : keys) {
+    const std::vector<float> row = updated_row(key);
+    values.insert(values.end(), row.begin(), row.end());
+  }
+
+  EXPECT_THROW(
+      cluster.run([&](comm::Context& ctx) {
+        comm::Transport& net = ctx.transport();
+        if (ctx.rank() == 1) {
+          store->put_rows(0, keys, values);
+          throw std::runtime_error("worker fails after its put");
+        }
+        if (ctx.rank() == 0) {
+          // No message ever comes: this returns once rank 1 is dead.
+          EXPECT_FALSE(net.recv_bytes_or_dead(0, 1, 5).has_value());
+          for (const std::uint64_t key : keys) {
+            std::vector<float> row(kWidth);
+            store->read_row(key, row);
+            EXPECT_EQ(row, updated_row(key)) << "row " << key;
+          }
+        }
+      }),
+      scd::Error);
+
+  for (const std::uint64_t key : keys) {
+    const std::span<const float> got = store->row(key);
+    EXPECT_EQ(std::vector<float>(got.begin(), got.end()), updated_row(key));
+  }
+}
+
+TEST(ProcDkvTest, RowServesTheFinalImageAfterRun) {
+  // Each worker's last act is a put to rows of both shards; nothing
+  // synchronises after it but the end of the run, and the launcher's
+  // row() must see every write.
+  ProcCluster cluster(cluster_config(3));
+  auto store = cluster.make_store(
+      {.num_rows = kRows, .row_width = kWidth, .phantom = false});
+  for (std::uint64_t key = 0; key < kRows; ++key) {
+    store->init_row(key, initial_row(key));
+  }
+
+  cluster.run([&](comm::Context& ctx) {
+    if (ctx.rank() == 0) return;
+    // Rank 1 writes the even rows, rank 2 the odd ones.
+    std::vector<std::uint64_t> keys;
+    std::vector<float> values;
+    for (std::uint64_t key = ctx.rank() - 1; key < kRows; key += 2) {
+      keys.push_back(key);
+      const std::vector<float> row = updated_row(key);
+      values.insert(values.end(), row.begin(), row.end());
+    }
+    store->put_rows(ctx.rank() - 1, keys, values);
+  });
+
+  for (std::uint64_t key = 0; key < kRows; ++key) {
+    const std::span<const float> got = store->row(key);
+    EXPECT_EQ(std::vector<float>(got.begin(), got.end()), updated_row(key))
+        << "row " << key;
+  }
 }
 
 TEST(ProcDkvTest, CostQueriesAreZeroOnTheWallClockBackend) {

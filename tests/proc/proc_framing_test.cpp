@@ -1,6 +1,6 @@
 // Wire hardening of the process backend: every length a peer announces
-// (frame payloads, DKV batch counts, status messages) is capped before
-// anything is sized by it, and a read honours one deadline per call.
+// (frame payloads, status messages) is capped before anything is sized
+// by it, and a read honours one deadline per call.
 // Each case forges bytes over a socketpair and drives the real parser.
 #include "proc/framing.h"
 
@@ -16,8 +16,6 @@
 #include <unistd.h>
 
 #include "comm/transport.h"
-#include "proc/proc_dkv.h"
-#include "quant/row_codec.h"
 
 namespace scd::proc {
 namespace {
@@ -85,25 +83,6 @@ TEST(ProcFramingTest, CorruptFrameMagicIsATransportError) {
   FrameHeader header;
   EXPECT_THROW(read_frame_header(pipe.reader, header, 5.0),
                comm::TransportError);
-}
-
-TEST(ProcFramingTest, ForgedDkvBatchCountIsRejectedBeforeAllocation) {
-  // An unattached store: serve_one reads straight from the forged socket.
-  ProcDkv store(/*num_rows=*/16, /*row_width=*/5, /*num_ranks=*/2,
-                quant::RowCodec::kFloat32, quant::kDefaultSparseEps,
-                /*recv_timeout_s=*/5.0);
-  const std::uint64_t row_bytes = sizeof(std::uint64_t) + store.value_bytes();
-  for (const ProcDkv::Op op : {ProcDkv::kGet, ProcDkv::kPut}) {
-    for (const std::uint64_t forged :
-         {kMaxFrameBytes / row_bytes + 1, std::uint64_t{1} << 61,
-          ~std::uint64_t{0}}) {
-      Pipe pipe;
-      pipe.forge(ProcDkv::Request{op, 0, forged});
-      bool shutdown = false;
-      expect_capped([&] { store.serve_one(pipe.reader, shutdown); });
-      EXPECT_FALSE(shutdown);
-    }
-  }
 }
 
 TEST(ProcFramingTest, ForgedStatusMessageLengthIsRejectedBeforeAllocation) {

@@ -250,5 +250,32 @@ TEST(RowCodecTest, SparseEncodeMatchesFullSortReferenceAtFallbackBoundary) {
   }
 }
 
+TEST(RowCodecTest, SparseEncodeMatchesFullSortReferenceWithTopHalfAtTarget) {
+  // k/2 entries of 3 and k/2 of 1 sum to 2k; at eps = 1/4 the target is
+  // (3/4) * 2k = 3k/2, exactly the top half's mass, so the row stays
+  // sparse with nnz == k/2. Lowering one heavy entry by one ulp puts the
+  // top half just under the target: the first row that falls back.
+  for (const RowCodec codec : {RowCodec::kSparseTopR,
+                               RowCodec::kSparseTopRFp16,
+                               RowCodec::kSparseTopRInt8}) {
+    for (const std::uint32_t k : {8u, 64u, 200u}) {
+      for (const bool nudged : {false, true}) {
+        std::vector<float> row(k + 1);
+        for (std::uint32_t i = 0; i < k; ++i) {
+          row[i] = i % 2 == 1 ? 3.0f : 1.0f;
+        }
+        if (nudged) row[1] = std::nextafter(3.0f, 0.0f);
+        row[k] = 1.5f;
+        std::vector<std::byte> enc(encoded_bytes(codec, k + 1));
+        encode_row(codec, row, enc, 0.25f);
+        EXPECT_EQ(enc, full_sort_sparse_encode(codec, row, 0.25f))
+            << codec_name(codec) << " k=" << k << " nudged=" << nudged;
+        EXPECT_EQ(row_nnz(codec, k + 1, enc), nudged ? k : k / 2)
+            << codec_name(codec) << " k=" << k << " nudged=" << nudged;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace scd::quant

@@ -41,10 +41,25 @@ run_preset() {  # run_preset <preset>
   done
 }
 
+# The wall-clock benchmark's own correctness checks at tiny sizes: sim ==
+# proc on the first history point, the double-precision perplexity
+# recompute, row validity. run.py exits 0 even when a check fails, so
+# the verdict is read from the JSON object on its last line.
+perfbench_smoke() {
+  python3 perfbench/run.py --smoke > build/perfbench-smoke.log
+  tail -n 1 build/perfbench-smoke.log | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+if not r["correct"] or r["failed"] != 0:
+    sys.exit("perfbench --smoke: checks failed, see build/perfbench-smoke.log")
+'
+}
+
 echo "== tier-1: default preset =="
 timed "default: configure+build" bash -c \
   'cmake --preset default && cmake --build --preset default -j'
 run_preset default
+timed "default: perfbench --smoke" perfbench_smoke
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "== tier-1: asan preset =="
